@@ -43,6 +43,8 @@ def _run(args) -> int:
             verdict = "PASS" if report["passed"] else "FAIL"
             slos = report["slos"]
             bad = [s["name"] for s in slos if not s["ok"]]
+            if not report["sim"]["drained"]:
+                bad.append("calls still in flight after the drain")
             suffix = f" (failed: {', '.join(bad)})" if bad else ""
             print(f"{verdict} {report['scenario']}: {len(slos)} SLOs{suffix}")
         else:

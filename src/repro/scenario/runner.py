@@ -151,7 +151,8 @@ def run_scenario(source, obs=None) -> Dict:
         duration=spec.traffic.duration,
     )
     verdicts = evaluate_slos(build_slos(spec.slos), ctx)
-    passed = all(verdict["ok"] for verdict in verdicts)
+    # a run that loses in-flight calls fails whatever its SLOs say
+    passed = drained and all(verdict["ok"] for verdict in verdicts)
 
     latencies = sorted(latency for _at, latency in generator.stats.samples)
     latency_summary = {
@@ -228,12 +229,7 @@ def run_scenario(source, obs=None) -> Dict:
         "passed": passed,
         "wall_time_s": round(time.monotonic() - started_wall, 3),
     }
-    failed = (
-        not passed
-        or not drained
-        or (convergence is not None and not convergence["converged"])
-    )
-    if failed:
+    if not passed or (convergence is not None and not convergence["converged"]):
         # post-mortem: the merged, causally-ordered tail of every node's
         # protocol flight ring rides along with the failing report
         report["flight_recorder"] = sim.obs.flight.excerpt(last=80)

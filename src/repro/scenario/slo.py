@@ -282,8 +282,8 @@ class DegradationSlo(_Slo):
     """Graceful degradation under overload (the flash-crowd verdict).
 
     ``capacity`` declares the group's measured sustainable throughput in
-    requests/second (establish it with a separate capacity run, e.g.
-    ``benchmarks/bench_overload.py``).  When offered load exceeds it, a
+    requests/second (establish it with a separate capacity run, e.g. the
+    ``overload`` gate of :mod:`repro.bench.gate`).  When offered load exceeds it, a
     well-behaved deployment keeps *goodput* — completed requests per second
     of the traffic window — at or above ``min_goodput_fraction * capacity``
     by shedding the excess early, keeps the ``stat`` latency of the calls

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.bench.workloads import OpenLoopClient, run_until_done
+from repro.bench.workloads import run_until_done
 from repro.core import BindingStyle, Mode
 from repro.groupcomm import GroupConfig, Liveliness, Ordering
 from repro.scenario import (
@@ -364,6 +364,27 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL doomed" in captured.out
 
+    # no SLOs, but the open group is still serving when the window closes
+    lossy_spec = {
+        "name": "lossy",
+        "seed": 7,
+        "topology": "lan",
+        "group": {"replicas": 3, "style": "open"},
+        "traffic": {
+            "arrivals": {"kind": "poisson", "rate": 500.0},
+            "churn": {"initial": 1},
+            "duration": 0.2,
+            "drain": 0,
+        },
+    }
+    lossy = tmp_path / "lossy.json"
+    lossy.write_text(json.dumps(lossy_spec))
+    assert scenario_main(["run", str(lossy), "--quiet", "--output", str(out)]) == 1
+    assert "FAIL lossy: 0 SLOs (failed: calls still in flight" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert not report["passed"] and not report["sim"]["drained"]
+    assert report["flight_recorder"]
+
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert scenario_main(["run", str(broken)]) == 2
@@ -405,28 +426,3 @@ def test_max_in_flight_sheds_load():
     assert report["traffic"]["shed"] > 0
     assert report["traffic"]["lost"] == 0
     assert report["passed"]  # shedding is accounted, not lost
-
-
-# ---------------------------------------------------------------------------
-# OpenLoopClient (bench satellite)
-# ---------------------------------------------------------------------------
-def test_open_loop_client_wraps_arrivals_for_benchmarks():
-    c = AppCluster(servers=3, clients=1)
-    c.serve_all("svc", Counter, config=FAST)
-    binding = c.client(0).bind(
-        "svc",
-        style=BindingStyle.CLOSED,
-        liveliness=Liveliness.LIVELY,
-        suspicion_timeout=100e-3,
-    )
-    c.run(1.0)
-    assert binding.ready.done
-    client = OpenLoopClient(
-        c.sim, binding, rate=50.0, operation="incr", args=(1,),
-        mode=Mode.ALL, requests=40, timeout=10.0,
-    )
-    run_until_done(c.sim, [client.done], deadline=c.sim.now + 30.0)
-    assert client.issued == 40
-    assert client.in_flight == 0
-    assert client.errors == 0
-    assert len(client.latencies.values) == 40
