@@ -8,8 +8,9 @@ Three message families share the NSO-to-NSO channels:
 - membership layer: ``JoinReq`` / ``LeaveReq`` / ``SuspectMsg`` /
   ``FlushReq`` / ``FlushOk`` / ``ViewInstall``.
 
-All are marshallable structs; everything that crosses a node boundary is
-encoded to bytes.
+All are marshallable structs; everything that crosses a node boundary
+arrives as a fresh per-receiver copy from ``marshal.transfer``, exactly as
+if encoded to bytes and decoded, and is charged its encoded size.
 """
 
 from __future__ import annotations

@@ -473,9 +473,9 @@ class GroupSession:
     # stability tracking
     # ------------------------------------------------------------------
     def _ingest_acks(self, reporter: str, acks: Dict[str, int]) -> None:
-        # the acks dict arrives freshly decoded from the wire (or freshly
-        # built for a local replay) and is never mutated afterwards, so it
-        # can be stored by reference instead of copied per message
+        # the acks dict is a fresh per-receiver copy from ``transfer`` (or
+        # freshly built for a local replay) and is never mutated afterwards,
+        # so it can be stored by reference instead of copied per message
         self._acked[reporter] = acks
         unstable = self.unstable
         if not unstable or self.view is None:

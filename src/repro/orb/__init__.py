@@ -1,13 +1,14 @@
 """Mini-ORB: the CORBA stand-in the NewTop service is layered over.
 
-Provides IOR/IOGR references, a CDR-style wire codec with honest sizes,
-object adapters, synchronous and oneway one-to-one invocation, smart proxies
-with IOGR failover, interceptors, and a naming service.
+Provides IOR/IOGR references, a CDR-style wire codec with honest sizes
+(remote hops carry its ``transfer`` copy in place of the bytes), object
+adapters, synchronous and oneway one-to-one invocation, smart proxies with
+IOGR failover, interceptors, and a naming service.
 """
 
 from repro.orb.interceptors import CountingInterceptor, TraceInterceptor
 from repro.orb.ior import IOGR, IOR
-from repro.orb.marshal import MarshalError, corba_struct, decode, encode, wire_size
+from repro.orb.marshal import MarshalError, corba_struct, decode, encode, transfer, wire_size
 from repro.orb.messages import GIOP_OVERHEAD, Reply, Request
 from repro.orb.naming import NameServer, NamingClient
 from repro.orb.orb import DISPATCH_OVERHEAD, LOCAL_CALL_OVERHEAD, ORB
@@ -29,6 +30,7 @@ __all__ = [
     "corba_struct",
     "encode",
     "decode",
+    "transfer",
     "wire_size",
     "MarshalError",
     "GIOP_OVERHEAD",

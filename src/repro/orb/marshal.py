@@ -1,26 +1,27 @@
-"""A compact CDR-style wire codec.
+"""A compact CDR-style wire codec, and the copy that stands in for it.
 
-Messages really are encoded to bytes and decoded on arrival, which gives the
-simulation two properties the paper's measurements depend on:
+The simulation needs two things from marshalling, and neither is the bytes:
 
 - honest wire sizes (serialisation delay and per-byte CPU costs are computed
   from the encoded length), and
 - full isolation between "address spaces" (no shared mutable state can leak
   between simulated nodes).
 
+:func:`transfer` provides both in one recursive walk: it returns exactly
+what ``decode(encode(value))`` and ``len(encode(value))`` would, without
+building the byte string.  Immutable leaves are shared, containers and
+registered structs are rebuilt, and anything else goes through the real
+codec, so a value :func:`encode` rejects is rejected at send time too.
+Every remote ORB hop carries a ``transfer`` copy; :func:`encode` and
+:func:`decode` define the wire format that copy is equivalent to.
+
 Supported values: None, bool, int, float, str, bytes, list, tuple, dict, and
 any class registered with :func:`corba_struct` (encoded field-by-field in
 declaration order).
 
-The codec is on the critical path of every simulated message, so both
-directions are built around precompiled per-type fast paths (see
-docs/PERFORMANCE.md): encoding dispatches on exact type through a table that
-includes a dedicated encoder per registered struct (header bytes precomputed
-at registration, fields fetched with one ``attrgetter``), and decoding walks
-the byte string with prebound ``struct.Struct`` readers instead of a reader
-object.  ``wire_size`` computes the encoded length without materialising the
-bytes.  The wire format itself is unchanged and byte-identical to the
-original recursive implementation.
+Both the codec and ``transfer`` dispatch on exact type through tables that
+include a dedicated entry per registered struct, built at registration
+(see docs/PERFORMANCE.md); subclasses fall back to an ``isinstance`` walk.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from __future__ import annotations
 import inspect
 import struct
 from operator import attrgetter
-from sys import intern as _intern
 from typing import Any, Callable, Dict, List, Tuple, Type
 
-__all__ = ["corba_struct", "encode", "decode", "wire_size", "MarshalError"]
+__all__ = ["corba_struct", "encode", "decode", "transfer", "wire_size", "MarshalError"]
 
 
 class MarshalError(ValueError):
@@ -62,8 +62,9 @@ _ENCODERS: Dict[type, Callable[[Any, List[bytes]], None]] = {}
 #: raw wire name -> (cls, fields, positional_ctor, nfields)
 _STRUCT_DECODERS: Dict[bytes, Tuple[Type, Tuple[str, ...], bool, int]] = {}
 
-#: exact struct type -> (header_len, attrgetter, nfields) for wire_size
-_STRUCT_SIZERS: Dict[type, Tuple[int, Callable, int]] = {}
+#: exact-type -> copier(value) -> (copy, wire size); misses fall back to
+#: a round trip through the codec
+_COPIERS: Dict[type, Callable[[Any], Tuple[Any, int]]] = {}
 
 _pack_q = struct.Struct(">q").pack
 _pack_d = struct.Struct(">d").pack
@@ -71,15 +72,6 @@ _pack_I = struct.Struct(">I").pack
 _unpack_q_from = struct.Struct(">q").unpack_from
 _unpack_d_from = struct.Struct(">d").unpack_from
 _unpack_I_from = struct.Struct(">I").unpack_from
-
-#: small non-negative ints (sequence numbers, view ids, collection lengths)
-#: dominate the int traffic; their encodings are immutable, share them
-_INT_CACHE: List[bytes] = [_TAG_INT + _pack_q(i) for i in range(1024)]
-
-#: short hot strings (member names, group names, message kinds) are encoded
-#: over and over; cache the full tag+length+payload chunk, bounded
-_STR_CACHE: Dict[str, bytes] = {}
-_STR_CACHE_MAX = 4096
 
 
 def _ctor_takes_fields_positionally(cls: Type, fields: Tuple[str, ...]) -> bool:
@@ -101,8 +93,9 @@ def corba_struct(cls: Type) -> Type:
     """Class decorator: register a value type for wire marshalling.
 
     The class must expose ``_fields`` (a tuple of attribute names) or be
-    introspectable via ``__slots__``.  Decoding calls the constructor with
-    the fields as keyword arguments.
+    introspectable via ``__slots__``.  Decoding and :func:`transfer` rebuild
+    instances through the constructor: positionally when its leading
+    parameters are exactly the fields, else with the fields as keywords.
     """
     fields = getattr(cls, "_fields", None)
     if fields is None:
@@ -123,14 +116,12 @@ def corba_struct(cls: Type) -> Type:
     header = _TAG_STRUCT + _pack_I(len(raw)) + raw
     getter = attrgetter(*fields)
     nfields = len(fields)
+    positional = _ctor_takes_fields_positionally(cls, fields)
     _ENCODERS[cls] = _make_struct_encoder(header, getter, nfields)
-    _STRUCT_DECODERS[raw] = (
-        cls,
-        fields,
-        _ctor_takes_fields_positionally(cls, fields),
-        nfields,
+    _STRUCT_DECODERS[raw] = (cls, fields, positional, nfields)
+    _COPIERS[cls] = _make_struct_copier(
+        cls, fields, positional, len(header), getter, nfields
     )
-    _STRUCT_SIZERS[cls] = (len(header), getter, nfields)
     return cls
 
 
@@ -162,11 +153,8 @@ def _enc_bool(value, out):
 
 
 def _enc_int(value, out):
-    if 0 <= value < 1024:
-        out.append(_INT_CACHE[value])
-    else:
-        out.append(_TAG_INT)
-        out.append(_pack_q(value))
+    out.append(_TAG_INT)
+    out.append(_pack_q(value))
 
 
 def _enc_float(value, out):
@@ -175,19 +163,10 @@ def _enc_float(value, out):
 
 
 def _enc_str(value, out):
-    enc = _STR_CACHE.get(value)
-    if enc is not None:
-        out.append(enc)
-        return
     raw = value.encode("utf-8")
-    if len(raw) <= 32 and len(_STR_CACHE) < _STR_CACHE_MAX:
-        enc = _TAG_STR + _pack_I(len(raw)) + raw
-        _STR_CACHE[value] = enc
-        out.append(enc)
-    else:
-        out.append(_TAG_STR)
-        out.append(_pack_I(len(raw)))
-        out.append(raw)
+    out.append(_TAG_STR)
+    out.append(_pack_I(len(raw)))
+    out.append(raw)
 
 
 def _enc_bytes(value, out):
@@ -314,11 +293,7 @@ def _decode_at(data: bytes, pos: int) -> Tuple[Any, int]:
         raw = data[pos + 4 : end]
         if len(raw) != n:
             raise MarshalError("truncated stream")
-        value = raw.decode("utf-8")
-        # short strings are overwhelmingly protocol identifiers (members,
-        # groups, kinds) used as dict keys downstream: intern them so hash
-        # and equality checks hit the pointer fast path
-        return (_intern(value) if n <= 16 else value), end
+        return raw.decode("utf-8"), end
     if tag == _B_FLOAT:
         return _unpack_d_from(data, pos)[0], pos + 8
     if tag == _B_NONE:
@@ -397,40 +372,130 @@ def decode(data: bytes) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# sizing
+# transfer: copy and size in one walk
 # ---------------------------------------------------------------------------
+
+_INT_MIN = -(1 << 63)
+_INT_MAX = (1 << 63) - 1
+
+
+def _tr_none(value):
+    return None, 1
+
+
+def _tr_bool(value):
+    return value, 1
+
+
+def _tr_int(value):
+    if _INT_MIN <= value <= _INT_MAX:
+        return value, 9
+    return _transfer_fallback(value)  # raises struct.error, like encode
+
+
+def _tr_float(value):
+    return value, 9
+
+
+def _tr_str(value):
+    # utf-8 length == str length for ASCII, the overwhelming case
+    return value, 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+
+
+def _tr_bytes(value):
+    return value, 5 + len(value)
+
+
+def _tr_list(value):
+    n = 5
+    out = []
+    append = out.append
+    get = _COPIERS.get
+    for item in value:
+        item, size = ((get(item.__class__)) or _transfer_fallback)(item)
+        append(item)
+        n += size
+    return out, n
+
+
+def _tr_tuple(value):
+    out, n = _tr_list(value)
+    return tuple(out), n
+
+
+def _tr_dict(value):
+    n = 5
+    out = {}
+    get = _COPIERS.get
+    for key, item in value.items():
+        key, key_size = ((get(key.__class__)) or _transfer_fallback)(key)
+        item, item_size = ((get(item.__class__)) or _transfer_fallback)(item)
+        out[key] = item
+        n += key_size + item_size
+    return out, n
+
+
+_COPIERS[type(None)] = _tr_none
+_COPIERS[bool] = _tr_bool
+_COPIERS[int] = _tr_int
+_COPIERS[float] = _tr_float
+_COPIERS[str] = _tr_str
+_COPIERS[bytes] = _tr_bytes
+_COPIERS[list] = _tr_list
+_COPIERS[tuple] = _tr_tuple
+_COPIERS[dict] = _tr_dict
+
+
+def _make_struct_copier(
+    cls: Type,
+    fields: Tuple[str, ...],
+    positional: bool,
+    header_len: int,
+    getter: Callable,
+    nfields: int,
+):
+    """Rebuild a struct through the same constructor call ``decode`` uses."""
+    get = _COPIERS.get
+    if nfields == 1:
+        # a one-field attrgetter returns the value itself, not a 1-tuple
+        (field,) = fields
+
+        def tr_struct(value):
+            v = getter(value)
+            v, size = ((get(v.__class__)) or _transfer_fallback)(v)
+            return (cls(v) if positional else cls(**{field: v})), header_len + size
+    else:
+        def tr_struct(value):
+            n = header_len
+            values = []
+            append = values.append
+            for v in getter(value):
+                v, size = ((get(v.__class__)) or _transfer_fallback)(v)
+                append(v)
+                n += size
+            if positional:
+                return cls(*values), n
+            return cls(**dict(zip(fields, values))), n
+    return tr_struct
+
+
+def _transfer_fallback(value: Any) -> Tuple[Any, int]:
+    """Subclasses, out-of-range ints and unregistered types: the real codec
+    (raises exactly what :func:`encode` raises for unencodable values)."""
+    data = encode(value)
+    return decode(data), len(data)
+
+
+def transfer(value: Any) -> Tuple[Any, int]:
+    """``(decode(encode(value)), len(encode(value)))`` without the bytes.
+
+    The copy shares only immutable leaves with ``value``; every list, dict,
+    tuple and struct in it is freshly built, so the receiver can neither
+    see nor make later mutations on the sender's side.
+    """
+    return ((_COPIERS.get(value.__class__)) or _transfer_fallback)(value)
+
 
 def wire_size(value: Any) -> int:
     """Encoded size in bytes, computed without building the byte string."""
-    t = value.__class__
-    if t is int or t is float:
-        return 9
-    if t is str:
-        # utf-8 length == str length for ASCII, the overwhelming case
-        return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
-    if t is bool or value is None:
-        return 1
-    if t is list or t is tuple:
-        n = 5
-        for item in value:
-            n += wire_size(item)
-        return n
-    if t is dict:
-        n = 5
-        for key, item in value.items():
-            n += wire_size(key) + wire_size(item)
-        return n
-    if t is bytes:
-        return 5 + len(value)
-    sizer = _STRUCT_SIZERS.get(t)
-    if sizer is not None:
-        header_len, getter, nfields = sizer
-        if nfields == 1:
-            return header_len + wire_size(getter(value))
-        n = header_len
-        for v in getter(value):
-            n += wire_size(v)
-        return n
-    # subclasses and oddballs: fall back to encoding (raises MarshalError
-    # for unencodable values, exactly like encode would)
-    return len(encode(value))
+    return transfer(value)[1]

@@ -6,6 +6,9 @@ strictly one-to-one.  Multicast does not exist at this level; the NewTop
 layers implement it by invoking each member in turn (the very inefficiency
 the paper measures and attributes to the lack of a messaging service, §2.2).
 
+Every remote hop carries a :func:`~repro.orb.marshal.transfer` copy of its
+Request or Reply: the value the receiver would decode, sized at its exact
+encoded length plus :data:`GIOP_OVERHEAD`, without building the bytes.
 Invocations on a servant hosted by the *same* node bypass the network and
 marshalling entirely, matching the paper's colocated client/NSO deployment
 ("request-reply message pairs m1–m6, m3–m4 will not generate any network
@@ -117,16 +120,16 @@ class ORB:
         request = Request(request_id, target.key, operation, tuple(args), oneway, reply_node)
         if self._interceptors:
             self._notify("on_send_request", request, target)
-        data = marshal.encode(request)
-        size = len(data) + GIOP_OVERHEAD
+        message, size = marshal.transfer(request)
+        size += GIOP_OVERHEAD
 
         if oneway:
-            self.node.send(target.node, self.SERVICE, data, size, kind=net_kind)
+            self.node.send(target.node, self.SERVICE, message, size, kind=net_kind)
             return self._oneway_done
 
         fut = Future(name=f"invoke:{target.node}.{operation}#{request_id}")
         self._pending[request_id] = fut
-        self.node.send(target.node, self.SERVICE, data, size, kind=net_kind)
+        self.node.send(target.node, self.SERVICE, message, size, kind=net_kind)
         if timeout is None:
             return fut
         wrapped = with_timeout(self.sim, fut, timeout)
@@ -167,8 +170,9 @@ class ORB:
     # ------------------------------------------------------------------
     # server side
     # ------------------------------------------------------------------
-    def _on_message(self, src: str, payload: bytes, size: int) -> None:
-        message = marshal.decode(payload)
+    def _on_message(self, src: str, message: Any, size: int) -> None:
+        # ``message`` is the sender's ``transfer`` copy: a Request or Reply
+        # this node owns outright, exactly as if decoded from the wire
         if isinstance(message, Request):
             self._handle_request(src, message)
         elif isinstance(message, Reply):
@@ -255,8 +259,8 @@ class ORB:
             return
         reply = Reply(request.request_id, status, value)
         self._notify("on_send_reply", reply, request.reply_node)
-        data = marshal.encode(reply)
-        self.node.send(request.reply_node, self.SERVICE, data, len(data) + GIOP_OVERHEAD)
+        message, size = marshal.transfer(reply)
+        self.node.send(request.reply_node, self.SERVICE, message, size + GIOP_OVERHEAD)
 
     def _handle_reply(self, reply: Reply) -> None:
         self._notify("on_receive_reply", reply, None)

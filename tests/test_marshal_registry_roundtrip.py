@@ -2,7 +2,9 @@
 
 Every ``@corba_struct`` class in the wire registry gets a representative
 sample instance built here and pushed through ``encode`` -> ``decode``;
-the decoded object must be the same class with field-equal values.  Because
+the decoded object must be the same class with field-equal values.  The
+same sample also goes through ``transfer``, whose copy and size must be
+exactly what the round trip gives.  Because
 the test iterates :data:`repro.orb.marshal._STRUCT_REGISTRY` itself, adding
 a new struct anywhere in the tree automatically extends the test — and a
 struct this file cannot build a sample for fails with instructions instead
@@ -10,8 +12,8 @@ of being silently skipped.
 
 This is the safety net under the marshal fast paths: the per-struct
 precompiled encoders, the positional-constructor decode path, and the
-``wire_size`` sizers must all agree with the generic codec for every struct
-that can reach a wire.
+per-struct ``transfer`` copiers must all agree with the generic codec for
+every struct that can reach a wire.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from repro.groupcomm.config import GroupConfig, Ordering
 from repro.groupcomm.messages import DataMsg
 from repro.groupcomm.views import GroupView
 from repro.orb.ior import IOR
-from repro.orb.marshal import _STRUCT_REGISTRY, decode, encode, wire_size
+from repro.orb.marshal import _STRUCT_REGISTRY, decode, encode, transfer, wire_size
+from tests.test_transfer_conformance import check_transfer
 
 
 def _sample_data_msg() -> DataMsg:
@@ -204,6 +207,22 @@ def test_registered_struct_round_trips(name):
         assert _field_equal(getattr(sample, field), getattr(back, field)), (
             f"{name}.{field}: sent {getattr(sample, field)!r}, "
             f"decoded {getattr(back, field)!r}"
+        )
+
+
+@pytest.mark.parametrize(
+    "name", sorted(_STRUCT_REGISTRY), ids=sorted(_STRUCT_REGISTRY)
+)
+def test_registered_struct_transfers_like_a_round_trip(name):
+    cls, fields = _STRUCT_REGISTRY[name]
+    sample = _build_sample(name, cls, fields)
+    copy, size = transfer(sample)
+    assert type(copy) is cls
+    assert check_transfer(sample, copy, size) == []
+    for field in fields:
+        assert _field_equal(getattr(sample, field), getattr(copy, field)), (
+            f"{name}.{field}: sent {getattr(sample, field)!r}, "
+            f"copied {getattr(copy, field)!r}"
         )
 
 

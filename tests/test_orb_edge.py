@@ -82,10 +82,8 @@ class TestWireAccounting:
         ior = b.register(Echo())
         a.invoke(ior, "echo", ("payload",), oneway=True)
         sim.run()
-        expected_floor = len(
-            encode(Request(1, ior.key, "echo", ("payload",), True, ""))
-        )
-        assert net.stats.bytes_sent >= expected_floor + GIOP_OVERHEAD - 8
+        encoded = encode(Request(1, ior.key, "echo", ("payload",), True, ""))
+        assert net.stats.bytes_sent == len(encoded) + GIOP_OVERHEAD
 
     def test_bigger_args_cost_more_bytes(self):
         sim, net, a, b = make_pair()

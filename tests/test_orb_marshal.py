@@ -1,8 +1,10 @@
 """Tests for the CDR-style wire codec."""
 
+import struct
+
 import pytest
 
-from repro.orb.marshal import MarshalError, corba_struct, decode, encode, wire_size
+from repro.orb.marshal import MarshalError, corba_struct, decode, encode, transfer, wire_size
 
 
 @pytest.mark.parametrize(
@@ -101,6 +103,60 @@ def test_struct_isolation_no_shared_state():
     c = decode(encode(b))
     c.items.append(3)
     assert b.items == [1, 2]
+
+
+def test_transfer_struct_isolation_no_shared_state():
+    @corba_struct
+    class TransferBox:
+        __slots__ = ("items",)
+        _fields = ("items",)
+
+        def __init__(self, items):
+            self.items = items
+
+    b = TransferBox([1, 2])
+    c, size = transfer(b)
+    c.items.append(3)
+    assert b.items == [1, 2]
+    assert size == len(encode(b))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        None,
+        True,
+        -(2**63),
+        2**63 - 1,
+        -0.0,
+        "ünïcødé ✓",
+        b"\x00",
+        (1, [2, {3: (4,)}]),
+        {"a": [True, None], 5: b"x", (1, "k"): 2.5},
+    ],
+)
+def test_transfer_is_decode_of_encode(value):
+    data = encode(value)
+    copy, size = transfer(value)
+    assert size == len(data)
+    assert encode(copy) == data
+    assert type(copy) is type(decode(data))
+
+
+def test_transfer_falls_back_to_the_codec_for_subclasses():
+    class Name(str):
+        pass
+
+    copy, size = transfer([Name("m1")])
+    assert type(copy[0]) is str
+    assert size == len(encode([Name("m1")]))
+
+
+def test_transfer_rejects_what_encode_rejects():
+    with pytest.raises(MarshalError):
+        transfer([object()])
+    with pytest.raises(struct.error):
+        transfer({"n": 2**63})
 
 
 def test_struct_without_fields_rejected():
