@@ -17,7 +17,8 @@ in the next active period, preserving the caller's FIFO order.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import NotMember
 from repro.groupcomm.config import GroupConfig, Liveliness
@@ -36,11 +37,69 @@ from repro.groupcomm.ordering import make_ordering
 from repro.groupcomm.views import GroupView
 from repro.sim.futures import Future
 
-__all__ = ["GroupSession"]
+__all__ = ["GroupSession", "release_stable"]
+
+MsgId = Tuple[int, str, int]
 
 #: CPU cost of handing one delivered message up to the application object
 #: (the local m3/m6 invocations of the paper's fig. 9).
 DELIVER_COST = 30e-6
+
+
+def release_stable(
+    unstable: Dict[MsgId, Any],
+    fifos: Dict[str, Deque[MsgId]],
+    members: List[str],
+    member_id: str,
+    own_top: int,
+    recv_gseq: Dict[str, int],
+    acked: Dict[str, Dict[str, int]],
+) -> int:
+    """Drop every message all members have acknowledged from ``unstable``
+    and its sender's FIFO; returns how many of them were ``member_id``'s own.
+
+    A message is stable once every member's latest ack vector (``acked``,
+    plus our own receive state: ``own_top`` for our sends, ``recv_gseq``
+    for peers) covers its gseq.  Within a view each sender's gseqs are
+    contiguous and reach us in ascending order (own sends are numbered in
+    order, received ones arrive over FIFO channels), so each FIFO is
+    ascending and the stable messages are a prefix of it.  A sender is
+    therefore examined only while its oldest unstable message could be
+    released: the scan stops at the first member that has not acked it.
+    """
+    vectors = []
+    for member in members:
+        if member != member_id:
+            vector = acked.get(member)
+            if vector is None:
+                return 0  # a peer that has acked nothing holds back every gseq
+            vectors.append(vector)
+    own_released = 0
+    for sender, fifo in fifos.items():
+        if not fifo:
+            continue
+        head = fifo[0][2]
+        # own acks: what we have received from (or sent as) this sender
+        if sender == member_id:
+            low = own_top
+        elif sender in members:
+            low = recv_gseq.get(sender, 0)
+        else:
+            continue  # not (or no longer) a member: never stable
+        if low < head:
+            continue
+        for vector in vectors:
+            theirs = vector.get(sender, 0)
+            if theirs < head:
+                break
+            if theirs < low:
+                low = theirs
+        else:
+            while fifo and fifo[0][2] <= low:
+                del unstable[fifo.popleft()]
+                if sender == member_id:
+                    own_released += 1
+    return own_released
 
 
 class SessionStats:
@@ -85,7 +144,9 @@ class GroupSession:
         self._gseq_next = 1
         self._recv_gseq: Dict[str, int] = {}
         self._acked: Dict[str, Dict[str, int]] = {}
-        self.unstable: Dict[Tuple[int, str, int], DataMsg] = {}
+        self.unstable: Dict[MsgId, DataMsg] = {}
+        #: sender -> ids of its messages in ``unstable``, oldest first
+        self._unstable_fifo: Dict[str, Deque[MsgId]] = {}
         self._queued_sends: List[Any] = []
         self._future_buffer: List[Tuple[str, Any]] = []
         self._last_sent_ts = 0
@@ -335,7 +396,7 @@ class GroupSession:
             pushback=self.local_pushback(),
         )
         if kind == KIND_DATA:
-            self.unstable[msg.msg_id] = msg
+            self._hold_unstable(msg)
             self.stats.sent += 1
             self._unstable_hist.record(float(len(self.unstable)))
             self._flight.record(
@@ -422,7 +483,7 @@ class GroupSession:
         if not msg.is_null:
             self.detector.note_activity()
             self._recv_gseq[msg.sender] = msg.gseq
-            self.unstable[msg.msg_id] = msg
+            self._hold_unstable(msg)
             payload = msg.payload
             if getattr(payload, "forwarded", None) is not None:
                 # raw request arrival at this member (before ordering):
@@ -472,47 +533,31 @@ class GroupSession:
     # ------------------------------------------------------------------
     # stability tracking
     # ------------------------------------------------------------------
+    def _hold_unstable(self, msg: DataMsg) -> None:
+        msg_id = msg.msg_id
+        self.unstable[msg_id] = msg
+        fifo = self._unstable_fifo.get(msg_id[1])
+        if fifo is None:
+            self._unstable_fifo[msg_id[1]] = deque((msg_id,))
+        else:
+            fifo.append(msg_id)
+
     def _ingest_acks(self, reporter: str, acks: Dict[str, int]) -> None:
         # the acks dict is a fresh per-receiver copy from ``transfer`` (or
         # freshly built for a local replay) and is never mutated afterwards,
         # so it can be stored by reference instead of copied per message
         self._acked[reporter] = acks
-        unstable = self.unstable
-        if not unstable or self.view is None:
+        if not self.unstable or self.view is None:
             return
-        members = self.view.members
-        member_id = self.member_id
-        acked = self._acked
-        recv_gseq = self._recv_gseq
-        own_top = self._gseq_next - 1
-        # only senders that still have unstable messages can release
-        # anything; computing stability for the rest is wasted work
-        stable: Dict[str, int] = {}
-        for mid in unstable:
-            sender = mid[1]
-            if sender in stable:
-                continue
-            if sender != member_id and sender not in members:
-                stable[sender] = 0  # not (or no longer) a member: never stable
-                continue
-            # own acks: what we have received from (or sent as) this sender
-            low = own_top if sender == member_id else recv_gseq.get(sender, 0)
-            if low > 0:
-                for member in members:
-                    if member == member_id:
-                        continue
-                    peer_acks = acked.get(member)
-                    theirs = 0 if peer_acks is None else peer_acks.get(sender, 0)
-                    if theirs < low:
-                        low = theirs
-                        if low <= 0:
-                            break
-            stable[sender] = low
-        own_released = 0
-        for msg_id in [mid for mid in unstable if mid[2] <= stable[mid[1]]]:
-            if msg_id[1] == self.member_id:
-                own_released += 1
-            del unstable[msg_id]
+        own_released = release_stable(
+            self.unstable,
+            self._unstable_fifo,
+            self.view.members,
+            self.member_id,
+            self._gseq_next - 1,
+            self._recv_gseq,
+            self._acked,
+        )
         if own_released:
             self.flow.release(own_released)
             while True:
@@ -778,6 +823,7 @@ class GroupSession:
         self._recv_gseq = {m: 0 for m in install.view.members}
         self._acked = {}
         self.unstable = {}
+        self._unstable_fifo = {}
         self._last_sent_ts = self.service.clock.value
         self._max_seen_ts = 0
         self._acks_owed = False

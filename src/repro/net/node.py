@@ -129,12 +129,8 @@ class Node:
             return  # unknown service: silently dropped, like a closed port
         cpu = self.cpu
         cost = cpu.recv_overhead + size * cpu.per_byte
-        self.execute(cost, self._dispatch, handler, src, payload, size)
-
-    def _dispatch(self, handler, src: str, payload: Any, size: int) -> None:
-        if not self.alive:
-            return
-        handler(src, payload, size)
+        # _run_if_alive re-checks liveness when the CPU gets to the message
+        self.execute(cost, handler, src, payload, size)
 
     # ------------------------------------------------------------------
     # CPU model

@@ -176,6 +176,24 @@ class Span:
         return f"<Span #{self.span_id} {self.name}@{self.node} t={self.start:.6f}>"
 
 
+class _Activation:
+    """The context manager :meth:`Tracer.use` returns.  A slotted class, not
+    a generator: every send enters one, even with tracing off."""
+
+    __slots__ = ("tracer", "span", "token")
+
+    def __init__(self, tracer: "Tracer", span: Optional[Span]):
+        self.tracer = tracer
+        self.span = span
+
+    def __enter__(self) -> Optional[Span]:
+        self.token = self.tracer.activate(self.span)
+        return self.span
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.tracer.restore(self.token)
+
+
 class Tracer:
     """Span recorder + context holder for one simulation run.
 
@@ -318,13 +336,10 @@ class Tracer:
     def restore(self, token: Optional[ObsContext]) -> None:
         self.ctx = token
 
-    @contextmanager
-    def use(self, span: Optional[Span]):
-        token = self.activate(span)
-        try:
-            yield span
-        finally:
-            self.restore(token)
+    def use(self, span: Optional[Span]) -> "_Activation":
+        """``with tracer.use(span):`` makes ``span`` ambient for the block
+        (nothing changes for None) and restores the previous context after."""
+        return _Activation(self, span)
 
     @contextmanager
     def use_root(self, span: Optional[Span]):

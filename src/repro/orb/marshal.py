@@ -20,8 +20,15 @@ any class registered with :func:`corba_struct` (encoded field-by-field in
 declaration order).
 
 Both the codec and ``transfer`` dispatch on exact type through tables that
-include a dedicated entry per registered struct, built at registration
-(see docs/PERFORMANCE.md); subclasses fall back to an ``isinstance`` walk.
+include a dedicated entry per registered struct (see docs/PERFORMANCE.md);
+subclasses fall back to an ``isinstance`` walk.  The codec's entries are
+built at registration.  A struct's ``transfer`` entry is a straight-line
+copier, generated like a dataclass's methods: one template per shape (field
+count, positional or keyword constructor), compiled on the first transfer of
+a struct of that shape, with each field in its own local and ASCII ``str``,
+in-range ``int``, ``float``, ``None`` and ``bool`` fields sized inline.
+After changing a struct's fields or constructor, run
+``tests/test_transfer_conformance.py`` and ``tests/test_struct_copiers.py``.
 """
 
 from __future__ import annotations
@@ -119,8 +126,8 @@ def corba_struct(cls: Type) -> Type:
     positional = _ctor_takes_fields_positionally(cls, fields)
     _ENCODERS[cls] = _make_struct_encoder(header, getter, nfields)
     _STRUCT_DECODERS[raw] = (cls, fields, positional, nfields)
-    _COPIERS[cls] = _make_struct_copier(
-        cls, fields, positional, len(header), getter, nfields
+    _COPIERS[cls] = _compile_on_first_copy(
+        cls, len(header), getter, fields, positional
     )
     return cls
 
@@ -412,9 +419,16 @@ def _tr_list(value):
     append = out.append
     get = _COPIERS.get
     for item in value:
-        item, size = ((get(item.__class__)) or _transfer_fallback)(item)
+        t = item.__class__
+        # the commonest leaves are sized inline, without a table call
+        if t is int and _INT_MIN <= item <= _INT_MAX:
+            n += 9
+        elif t is str and item.isascii():
+            n += 5 + len(item)
+        else:
+            item, size = (get(t) or _transfer_fallback)(item)
+            n += size
         append(item)
-        n += size
     return out, n
 
 
@@ -428,10 +442,18 @@ def _tr_dict(value):
     out = {}
     get = _COPIERS.get
     for key, item in value.items():
-        key, key_size = ((get(key.__class__)) or _transfer_fallback)(key)
-        item, item_size = ((get(item.__class__)) or _transfer_fallback)(item)
+        # str keys and int values (ack and clock vectors) are sized inline
+        if key.__class__ is str and key.isascii():
+            n += 5 + len(key)
+        else:
+            key, size = ((get(key.__class__)) or _transfer_fallback)(key)
+            n += size
+        if item.__class__ is int and _INT_MIN <= item <= _INT_MAX:
+            n += 9
+        else:
+            item, size = ((get(item.__class__)) or _transfer_fallback)(item)
+            n += size
         out[key] = item
-        n += key_size + item_size
     return out, n
 
 
@@ -446,37 +468,92 @@ _COPIERS[tuple] = _tr_tuple
 _COPIERS[dict] = _tr_dict
 
 
-def _make_struct_copier(
+# ---------------------------------------------------------------------------
+# compiled struct copiers
+# ---------------------------------------------------------------------------
+
+#: one leaf field, sized and shared inline; any other value (containers,
+#: structs, subclasses, out-of-range ints, non-ASCII text) goes through the
+#: copier table.  Kept short: compiling it per field is most of a template's
+#: compile time
+_LEAF_SOURCE = """\
+        t = {v}.__class__
+        if t is str and {v}.isascii():
+            n += 5 + len({v})
+        elif t is int and {lo} <= {v} <= {hi} or t is float:
+            n += 9
+        elif t is NoneType or t is bool:
+            n += 1
+        else:
+            {v}, size = (get(t) or fallback)({v})
+            n += size
+"""
+
+#: (field count, positional constructor) -> factory(cls, header_len, getter,
+#: fields) returning that struct's copier
+_COPIER_TEMPLATES: Dict[Tuple[int, bool], Callable] = {}
+
+
+def _copier_template(nfields: int, positional: bool) -> Callable:
+    """The straight-line copier factory for one struct shape, compiled once.
+
+    Each field is unpacked into its own local, so a struct's copy is one
+    ``attrgetter`` call, one inline type test per leaf field and the same
+    constructor call ``decode`` makes, without a per-field loop or call.
+    """
+    key = (nfields, positional)
+    factory = _COPIER_TEMPLATES.get(key)
+    if factory is not None:
+        return factory
+    values = [f"v{i}" for i in range(nfields)]
+    lines = ["def make(cls, header_len, getter, fields):"]
+    if positional:
+        call = f"cls({', '.join(values)})"
+    else:
+        keys = [f"k{i}" for i in range(nfields)]
+        lines.append(f"    {', '.join(keys)}, = fields")
+        call = "cls(**{" + ", ".join(f"{k}: {v}" for k, v in zip(keys, values)) + "})"
+    lines += [
+        f"    def copy_struct_{nfields}(value):",
+        # a one-field attrgetter returns the value itself, not a 1-tuple
+        f"        {', '.join(values)} = getter(value)",
+        "        n = header_len",
+    ]
+    lines += [_LEAF_SOURCE.format(v=v, lo=_INT_MIN, hi=_INT_MAX) for v in values]
+    lines += [f"        return {call}, n", f"    return copy_struct_{nfields}"]
+    namespace = {
+        "__name__": __name__,
+        "NoneType": type(None),
+        "get": _COPIERS.get,
+        "fallback": _transfer_fallback,
+    }
+    # compiled under this module's file name, so profilers that group time
+    # by source file charge the copiers to the marshal layer (the reported
+    # line numbers are the generated source's, not this file's)
+    exec(compile("\n".join(lines), __file__, "exec"), namespace)
+    factory = _COPIER_TEMPLATES[key] = namespace["make"]
+    return factory
+
+
+def _compile_on_first_copy(
     cls: Type,
-    fields: Tuple[str, ...],
-    positional: bool,
     header_len: int,
     getter: Callable,
-    nfields: int,
-):
-    """Rebuild a struct through the same constructor call ``decode`` uses."""
-    get = _COPIERS.get
-    if nfields == 1:
-        # a one-field attrgetter returns the value itself, not a 1-tuple
-        (field,) = fields
+    fields: Tuple[str, ...],
+    positional: bool,
+) -> Callable:
+    """Stand-in copier for ``cls``: its first transfer compiles (or reuses)
+    the template for the struct's shape and installs the real copier, so
+    importing the program compiles nothing."""
 
-        def tr_struct(value):
-            v = getter(value)
-            v, size = ((get(v.__class__)) or _transfer_fallback)(v)
-            return (cls(v) if positional else cls(**{field: v})), header_len + size
-    else:
-        def tr_struct(value):
-            n = header_len
-            values = []
-            append = values.append
-            for v in getter(value):
-                v, size = ((get(v.__class__)) or _transfer_fallback)(v)
-                append(v)
-                n += size
-            if positional:
-                return cls(*values), n
-            return cls(**dict(zip(fields, values))), n
-    return tr_struct
+    def first_copy(value):
+        copier = _copier_template(len(fields), positional)(
+            cls, header_len, getter, fields
+        )
+        _COPIERS[cls] = copier
+        return copier(value)
+
+    return first_copy
 
 
 def _transfer_fallback(value: Any) -> Tuple[Any, int]:
